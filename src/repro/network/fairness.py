@@ -9,16 +9,22 @@ unique max-min fair allocation subject to the caps.
 Flows that share no link (directly or transitively) cannot influence each
 other's rates, so the solver first splits the demand set into connected
 components over shared links and water-fills each component on its own.
-Besides being faster — each filling round is quadratic in the component,
-not the grid — this is what makes the *incremental* solver
-(:mod:`repro.network.solver`) exact: it re-solves only dirty components
-and reuses the others' cached rates, which equal a fresh solve
-bit-for-bit because each component's arithmetic is independent.
+This is what makes the *incremental* solver (:mod:`repro.network.solver`)
+exact: it re-solves only dirty components and reuses the others' cached
+rates, which equal a fresh solve bit-for-bit because each component's
+arithmetic is independent.
+
+Within a component the filling loop keeps a live-user count per link,
+one fill level shared by every active flow, and the capped flows sorted
+once by cap (see :func:`_fill_component`).  A round then costs
+O(live links), freezing a flow costs O(its links) once, and applying an
+increment costs O(1) however many flows are active.
 
 The function is pure — it is the analytical heart of the network model
 and is tested exhaustively (including with hypothesis) in
-``tests/network/test_fairness.py`` and
-``tests/network/test_fairness_incremental.py``.
+``tests/network/test_fairness.py``,
+``tests/network/test_fairness_incremental.py`` and, bit for bit against
+the plain re-counting loop, ``tests/network/test_fairness_kernel_diff.py``.
 """
 
 import math
@@ -90,20 +96,47 @@ def flow_components(demands):
 def _fill_component(demands, link_capacity):
     """Water-fill one connected component; returns ``flow_id -> rate``.
 
-    This is the progressive-filling loop the module always had, scoped
-    to a single component.  Its arithmetic depends only on the
-    component's demand order and its links' capacities — the exactness
-    contract the incremental solver's cache relies on.
+    Progressive filling scoped to a single component.  Each round finds
+    the smallest increment that saturates a live link or reaches the
+    lowest live cap, raises the shared fill level by it, drains the live
+    links and freezes what saturated or capped out.  Three invariants
+    keep a round's work proportional to the live links, with O(1) work
+    per active flow:
+
+    * ``live[link]`` holds the link's remaining capacity and the count
+      of its active users; the count drops once per *distinct* link of
+      each flow as it freezes, and a link leaves ``live`` at zero.  A
+      saturated link freezes all its users, so it drops out of the scan
+      on its own.  ``live`` keeps the links' first-use order, so the
+      ``min`` scan meets values in that order.
+    * Every active flow has received every increment since round one,
+      so all active allocations are one float, ``level``; a flow's rate
+      is the level at which it froze.
+    * Capped flows are sorted once by ``(cap, input index)`` — never by
+      flow id, since ids mix ints and strings.  Float subtraction
+      rounds monotonically, so ``min(cap - level)`` over the active
+      flows is ``min(cap) - level`` (the head of the sorted list), and
+      the flows at their caps form a prefix of it.
+
+    The float operations and their order are those of the plain loop
+    that re-counts every link's users each round, so rates are
+    bit-identical to it (``tests/network/test_fairness_kernel_diff.py``
+    checks this against that loop kept as a reference).  The arithmetic
+    depends only on the component's demand order, caps and link
+    capacities — the exactness contract the incremental solver's cache
+    relies on.
     """
     active = {}
     for demand in demands:
         active[demand.flow_id] = demand
 
-    remaining = {}
     users = {}
+    live = {}
     for demand in demands:
+        fid = demand.flow_id
         for link in demand.links:
-            if link not in remaining:
+            flow_ids = users.get(link)
+            if flow_ids is None:
                 capacity = float(link_capacity[link])
                 if not 0.0 <= capacity < math.inf:
                     # Rejects negative, NaN and infinite capacities: a
@@ -114,60 +147,87 @@ def _fill_component(demands, link_capacity):
                         f"negative, NaN or infinite capacity "
                         f"{capacity} on {link!r}"
                     )
-                remaining[link] = capacity
-                users[link] = set()
-            users[link].add(demand.flow_id)
+                users[link] = {fid: None}
+                live[link] = [capacity, 0]
+            else:
+                flow_ids[fid] = None
+    for link, flow_ids in users.items():
+        live[link][1] = len(flow_ids)
+
+    capped = sorted(
+        (demand.cap, index)
+        for index, demand in enumerate(demands)
+        if demand.cap < math.inf
+    )
+    cap_values = [cap for cap, _ in capped]
+    cap_fids = [demands[index].flow_id for _, index in capped]
+    n_capped = len(capped)
+    head = 0  # cap_fids[:head] are all frozen
 
     allocation = {fid: 0.0 for fid in active}
+    level = 0.0
     while active:
         # Smallest increment that saturates a link or exhausts a cap.
         increment = math.inf
-        for link, flow_ids in users.items():
-            live = [fid for fid in flow_ids if fid in active]
-            if live:
-                increment = min(increment, remaining[link] / len(live))
-        for fid, demand in active.items():
-            increment = min(increment, demand.cap - allocation[fid])
-        if math.isinf(increment):
-            # Only capless flows over infinite links remain (impossible
-            # now that infinite capacities are rejected); freeze them at
-            # infinity rather than loop forever.
+        for remaining, count in live.values():
+            share = remaining / count
+            if share < increment:
+                increment = share
+        while head < n_capped and cap_fids[head] not in active:
+            head += 1
+        if head < n_capped:
+            headroom = cap_values[head] - level
+            if headroom < increment:
+                increment = headroom
+        if increment == math.inf:
+            # Only capless flows without links remain (the callers never
+            # pass such a flow); freeze them at infinity rather than
+            # loop forever.
             for fid in active:
                 allocation[fid] = math.inf
             break
-        increment = max(increment, 0.0)
+        if increment < 0.0:
+            increment = 0.0
 
         # Apply the increment and drain link budgets.
-        for fid in active:
-            allocation[fid] += increment
-        for link, flow_ids in users.items():
-            live = sum(1 for fid in flow_ids if fid in active)
-            if live:
-                remaining[link] -= increment * live
+        level += increment
+        saturated = []
+        for link, entry in live.items():
+            left = entry[0] - increment * entry[1]
+            entry[0] = left
+            if left <= _EPS:
+                saturated.append(link)
 
         # Freeze flows on saturated links and flows at their caps.
-        frozen = set()
-        for link, flow_ids in users.items():
-            if remaining[link] <= _EPS:
-                frozen.update(fid for fid in flow_ids if fid in active)
-        for fid, demand in active.items():
-            if allocation[fid] >= demand.cap - _EPS:
-                frozen.add(fid)
+        frozen = {}
+        for link in saturated:
+            for fid in users[link]:
+                if fid in active:
+                    frozen[fid] = None
+        while head < n_capped and level >= cap_values[head] - _EPS:
+            fid = cap_fids[head]
+            if fid in active:
+                frozen[fid] = None
+            head += 1
         if not frozen:
             # Numerical guard: increment was ~0 without freezing anyone;
             # freeze the tightest flow to guarantee termination.
             tight = min(
                 active,
                 key=lambda f: min(
-                    [remaining[link] for link in active[f].links] +
-                    [active[f].cap - allocation[f]]
+                    [live[link][0] for link in active[f].links] +
+                    [active[f].cap - level]
                 ),
             )
-            frozen.add(tight)
-        # Delete in the dict's own (insertion) order, not set order, so
-        # the surviving iteration order is identical run-to-run.
-        for fid in [f for f in active if f in frozen]:
-            del active[fid]
+            frozen[tight] = None
+        for fid in frozen:
+            allocation[fid] = level
+            for link in dict.fromkeys(active.pop(fid).links):
+                entry = live[link]
+                if entry[1] == 1:
+                    del live[link]
+                else:
+                    entry[1] -= 1
 
     return allocation
 

@@ -160,6 +160,10 @@ class IncrementalMaxMinSolver:
         ``min(cap, min(link capacities))``, which is exactly what one
         filling round computes for it.
         """
+        if not cap >= 0:
+            # The closure path rejects this when it builds the probe's
+            # FlowDemand; the short-cuts below never build one.
+            raise ValueError(f"negative or NaN cap {cap}")
         probe_caps = list(probe_caps)
         if not probe_caps:
             return float(cap)

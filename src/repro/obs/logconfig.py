@@ -3,8 +3,10 @@
 Every instrumented module logs under the ``repro`` root logger
 (``repro.gridftp.reliable``, ``repro.monitoring.nws.sensor``, ...):
 debug-level decision logs, warning-level fault/retry logs.  Nothing is
-emitted until a handler is attached — call :func:`configure_logging`
-(or ``logging.basicConfig``) to see output::
+emitted until a handler is attached — the ``repro`` logger carries a
+:class:`logging.NullHandler`, so Python's last-resort handler never
+prints its warnings to stderr.  Call :func:`configure_logging` (or
+``logging.basicConfig``) to see output::
 
     from repro.obs import configure_logging
     configure_logging("DEBUG")
@@ -20,6 +22,12 @@ _FORMAT = "%(levelname)s %(name)s: %(message)s"
 def repro_logger():
     """The ``repro`` root logger all module loggers descend from."""
     return logging.getLogger("repro")
+
+
+# Records still propagate to the root logger's handlers (and so to
+# ``logging.basicConfig`` and pytest's ``caplog``); the NullHandler only
+# stops the last-resort stderr fallback when no handler is attached.
+repro_logger().addHandler(logging.NullHandler())
 
 
 def configure_logging(level="INFO", stream=None, fmt=_FORMAT):

@@ -226,6 +226,24 @@ class TestCapacityValidation:
                 [("l", math.nan)], 10.0, lambda key: 100.0
             )
 
+    @pytest.mark.parametrize("cap", [-5.0, math.nan])
+    @pytest.mark.parametrize("path", ["loopback", "idle", "contended"])
+    def test_probe_paths_reject_bad_cap_like_the_oracle(self, cap, path):
+        """Regression: the link-less and empty-closure short-cuts used to
+        return a negative or NaN cap as the probe's rate, while the
+        closure and oracle paths raise through :class:`FlowDemand`."""
+        solver = IncrementalMaxMinSolver()
+        if path == "contended":
+            solver.add_flow("f", ["l"])
+        links = [] if path == "loopback" else [("l", 100.0)]
+        with pytest.raises(ValueError, match="negative or NaN cap"):
+            solver.probe_rate(links, cap, lambda key: 100.0)
+        with pytest.raises(ValueError, match="negative or NaN cap"):
+            max_min_allocation(
+                [FlowDemand("__probe__", [key for key, _ in links], cap)],
+                {"l": 100.0},
+            )
+
     def test_zero_capacity_is_legal_and_starves_flows(self):
         rates = max_min_allocation(
             [FlowDemand("f", ["l"])], {"l": 0.0}
