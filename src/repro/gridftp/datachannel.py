@@ -80,22 +80,19 @@ def run_data_transfer(grid, src_name, dst_name, payload_bytes, mode,
         per_stream = wire_bytes / streams
         cap = tcp.stream_cap(path)
         extra = src_host.transfer_source_links() + dst_host.transfer_sink_links()
-        flows = [
-            grid.network.start_flow(
-                src_name, dst_name, per_stream, cap=cap,
-                extra_links=extra, label=label,
-            )
-            for _ in range(streams)
-        ]
+        flows = grid.network.start_flows(
+            src_name, dst_name, per_stream, streams, cap=cap,
+            extra_links=extra, label=label,
+        )
         try:
             yield AllOf(sim, [flow.done for flow in flows])
         except Interrupt:
             # The transfer was aborted (connection drop, user cancel):
             # tear its flows out of the network before propagating.
-            for flow in flows:
-                if flow.is_active:
-                    grid.network.abort_flow(flow, cause="transfer aborted")
-                    flow.done.defused = True
+            active = [flow for flow in flows if flow.is_active]
+            grid.network.abort_flows(active, cause="transfer aborted")
+            for flow in active:
+                flow.done.defused = True
             raise
         # Last byte still crosses the wire after the sender finishes.
         yield sim.timeout(path.latency)

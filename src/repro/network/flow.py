@@ -1,10 +1,18 @@
 """Dynamic flow management on top of the max-min allocator.
 
 :class:`FlowNetwork` tracks the set of in-flight flows.  Whenever the set
-changes — a flow starts, finishes, is aborted, or the environment shifts
+changes — flows start, finish, are aborted, or the environment shifts
 (cross-traffic, disk load) — it settles the bytes moved so far, recomputes
 every rate with :func:`max_min_allocation`, and reschedules completion
 events.
+
+A change is one call, not one flow: :meth:`FlowNetwork.start_flows`
+starts a batch (a GridFTP transfer's parallel streams) and
+:meth:`FlowNetwork.abort_flows` tears one down, each at one simulated
+instant with one settle, one fair-share solve and one wakeup.  No process
+runs in between, so the per-flow rates a one-by-one loop would compute
+were never used: the batch ends in the same rates, byte counts and
+completion log, minus the superseded wakeup events.
 
 Two modelling points worth noting:
 
@@ -133,38 +141,70 @@ class FlowNetwork:
         ``extra_links`` are additional Link-like capacity constraints
         (disk channels etc.); ``cap`` is the flow's own rate ceiling.
         """
+        return self.start_flows(src, dst, nbytes, 1, cap, extra_links,
+                                label)[0]
+
+    def start_flows(self, src, dst, nbytes, count, cap=math.inf,
+                    extra_links=(), label=None):
+        """Begin ``count`` identical flows from ``src`` to ``dst`` at once.
+
+        Returns the flows in id order.  Arguments are validated and the
+        route resolved before any flow is built, so a rejected call
+        consumes no flow id.  The batch costs one settle, one fair-share
+        solve and one wakeup, and ends in exactly the state ``count``
+        back-to-back :meth:`start_flow` calls would reach.
+        """
+        if count < 1:
+            raise ValueError(f"flow count must be >= 1, got {count}")
         if nbytes < 0:
             raise ValueError(f"negative flow size {nbytes}")
         path = self.router.path(src, dst)
-        flow = Flow(self, path, nbytes, cap, extra_links, label)
+        flows = [Flow(self, path, nbytes, cap, extra_links, label)
+                 for _ in range(count)]
         if nbytes == 0:
-            flow.completed_at = self.sim.now
-            self.completed.append(flow)
-            flow.done.succeed(flow)
-            return flow
+            for flow in flows:
+                flow.completed_at = self.sim.now
+                self.completed.append(flow)
+                flow.done.succeed(flow)
+            return flows
         self._settle()
-        self._flows[flow.id] = flow
-        if self._solver is not None:
-            self._solver.add_flow(
-                flow.id, [link.key for link in flow.links], flow.cap
-            )
-            self._register_links(flow)
+        for flow in flows:
+            self._flows[flow.id] = flow
+            if self._solver is not None:
+                self._solver.add_flow(
+                    flow.id, [link.key for link in flow.links], flow.cap
+                )
+                self._register_links(flow)
         self._reallocate()
-        return flow
+        return flows
 
     def abort_flow(self, flow, cause=None):
         """Abort an active flow; its ``done`` event fails."""
-        if not flow.is_active:
+        self.abort_flows([flow], cause)
+
+    def abort_flows(self, flows, cause=None):
+        """Abort every active flow in ``flows`` at one instant.
+
+        Each ``done`` fails in list order and each rate drops to zero;
+        inactive flows are skipped.  One settle and one fair-share solve
+        cover the whole batch.
+        """
+        flows = [flow for flow in flows if flow.is_active]
+        if not flows:
             return
         self._settle()
-        flow.aborted = True
-        del self._flows[flow.id]
-        if self._solver is not None:
-            self._solver.remove_flow(flow.id)
-            self._unregister_links(flow)
-        for link in flow.links:
-            link.allocated = 0.0
-        flow.done.fail(FlowAborted(flow, cause))
+        for flow in flows:
+            if flow.aborted:
+                continue  # listed twice
+            flow.aborted = True
+            flow.rate = 0.0
+            del self._flows[flow.id]
+            if self._solver is not None:
+                self._solver.remove_flow(flow.id)
+                self._unregister_links(flow)
+            for link in flow.links:
+                link.allocated = 0.0
+            flow.done.fail(FlowAborted(flow, cause))
         self._reallocate()
 
     def rebalance(self):
