@@ -2,10 +2,11 @@
 
 :func:`repro.network.fairness.max_min_allocation` is a pure oracle: give
 it every demand and every capacity, get every rate.  The flow network
-calls it on *every* flow arrival, departure and capacity change, and the
-NWS bandwidth sensors call it again for every probe — on a busy grid
-that is a full water-filling of the whole topology many times per
-simulated second, even though most changes touch one corner of it.
+needs fresh rates on *every* flow arrival, departure and capacity
+change, and the NWS bandwidth sensors need one more for every probe —
+on a busy grid, calling the oracle each time would water-fill the whole
+topology many times per simulated second, even though most changes
+touch one corner of it.
 
 :class:`IncrementalMaxMinSolver` exploits the oracle's component
 structure (see :func:`repro.network.fairness.flow_components`): flows
@@ -31,8 +32,9 @@ Chaos actions that rewrite capacities therefore invalidate exactly the
 components they touch — the "full solve fallback" degenerates naturally
 to re-solving every component when everything changed.
 
+The oracle is kept as the test reference:
 ``tests/network/test_fairness_incremental.py`` drives random churn
-sequences through both paths and asserts exact equality.
+sequences through the solver and the oracle and asserts exact equality.
 """
 
 import math
@@ -51,8 +53,8 @@ class IncrementalMaxMinSolver:
 
     The owner (:class:`repro.network.flow.FlowNetwork`) mirrors its live
     flow set into the solver via :meth:`add_flow` / :meth:`remove_flow`,
-    then asks for :meth:`rates` with fresh link capacities whenever it
-    would previously have called the oracle.
+    then asks for :meth:`rates` with fresh link capacities whenever the
+    flow set or a capacity changes.
     """
 
     def __init__(self):

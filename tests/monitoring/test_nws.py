@@ -12,6 +12,7 @@ from repro.monitoring.nws import (
     NwsMemory,
     series_key,
 )
+from repro.monitoring.nws.scheduler import scheduler_for
 from repro.units import mbit_per_s
 
 from tests.conftest import build_two_host_grid
@@ -206,3 +207,63 @@ class TestSensors:
         truth = mbit_per_s(100)
         for _, value in memory.series(series_key("bandwidth", "src", "dst")):
             assert abs(value / truth - 1.0) <= 0.2001  # 4 sigma clamp
+
+
+class TestTickGroups:
+    """Sensors sharing ``(period, phase)`` ride one timer."""
+
+    @staticmethod
+    def grouped(count, period=1.0, phase=0.25):
+        grid = build_two_host_grid()
+        memory = NwsMemory(grid.sim)
+        sensors = [
+            CpuSensor(grid.sim, memory, grid.host(name), period=period,
+                      phase=phase)
+            for name in ("src", "dst")[:count]
+        ]
+        return grid, memory, sensors
+
+    def test_one_timeout_per_period_for_the_whole_group(self):
+        grid, _, sensors = self.grouped(2)
+        grid.run(until=10.1)
+        # Ticks at 0.25, 1.25, ..., 9.25: ten events, not twenty.
+        assert grid.sim.events_processed == 10
+        assert grid.sim.queue_depth == 1
+        assert [s.measurements_taken for s in sensors] == [10, 10]
+        (group,) = scheduler_for(grid.sim)._groups.values()
+        assert group.ticks == 10
+
+    def test_first_tick_lands_at_phase(self):
+        grid, memory, _ = self.grouped(1, period=2.0, phase=0.25)
+        grid.run(until=5.0)
+        times = [t for t, _ in memory.series(series_key("cpu", "src"))]
+        assert times == [0.25, 2.25, 4.25]
+
+    def test_stopping_one_member_leaves_the_other_ticking(self):
+        grid, _, (stopped, kept) = self.grouped(2)
+        grid.run(until=3.5)
+        stopped.stop()
+        grid.run(until=10.1)
+        assert stopped.measurements_taken == 4
+        assert kept.measurements_taken == 10
+
+    def test_group_retires_once_every_member_stopped(self):
+        grid, memory, sensors = self.grouped(2)
+        sim = grid.sim
+        sim.run(until=3.5)
+        for sensor in sensors:
+            sensor.stop()
+        fired = []
+        sim.add_step_hook(lambda sim, _event: fired.append(sim.now))
+        sim.run(until=1000.0)
+        # Only the tick armed before the stops fires; it finds no live
+        # sensor and does not re-arm.
+        assert fired == [4.25]
+        assert sim.queue_depth == 0
+        assert scheduler_for(sim)._groups == {}
+        # The same key later forms a fresh group, phase from now.
+        fresh = CpuSensor(sim, memory, grid.host("src"), period=1.0,
+                          phase=0.25)
+        sim.run(until=1001.0)
+        assert fresh.measurements_taken == 1
+        assert fired[-1] == 1000.25

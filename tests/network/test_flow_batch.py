@@ -11,15 +11,10 @@ flow's rate and completion time, every link's ``bytes_carried`` and
 ``allocated``, and the completion log order.  The batch processes
 exactly ``n - 1`` fewer events — the superseded wakeups — and nothing
 else differs.
-
-Every case runs under the incremental solver and under
-``REPRO_FAIRSHARE=oracle``.
 """
 
 import math
-import os
 import struct
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +26,13 @@ from repro.network.routing import NoRouteError
 from repro.sim import Simulator
 
 HOSTS = ["a", "b", "c", "d"]
-MODES = ["incremental", "oracle"]
 
 
 def _bits(value):
     return None if value is None else struct.pack("d", value)
 
 
-def _build(mode, capacity=100.0, disk_capacity=80.0):
+def _build(capacity=100.0, disk_capacity=80.0):
     """Hosts around one hub, plus a shared disk channel and an island."""
     sim = Simulator(seed=5)
     topo = Topology()
@@ -46,9 +40,7 @@ def _build(mode, capacity=100.0, disk_capacity=80.0):
         topo.add_node(name)
     for name in HOSTS:
         topo.add_duplex_link(name, "hub", capacity)
-    with mock.patch.dict(os.environ, {"REPRO_FAIRSHARE": mode}):
-        net = FlowNetwork(sim, topo)
-    assert (net._solver is None) == (mode == "oracle")
+    net = FlowNetwork(sim, topo)
     disk = ResourceChannel("disk/shared", lambda: disk_capacity)
     return sim, topo, net, disk
 
@@ -80,10 +72,9 @@ def _start_background(sim, net, background, at):
     return flows
 
 
-def _run_starts(mode, batched, case):
+def _run_starts(batched, case):
     """Background traffic, then a batch of ``count`` flows at ``at``."""
-    sim, topo, net, disk = _build(mode, case["capacity"],
-                                  case["disk_capacity"])
+    sim, topo, net, disk = _build(case["capacity"], case["disk_capacity"])
     flows = _start_background(sim, net, case["background"], case["at"])
     src, dst = case["pair"]
     args = (src, dst, case["nbytes"])
@@ -100,10 +91,9 @@ def _run_starts(mode, batched, case):
     return at_start, _state(topo, net, disk, flows), sim.events_processed
 
 
-def _run_aborts(mode, batched, case, victims, abort_at):
+def _run_aborts(batched, case, victims, abort_at):
     """Start a batch, then abort ``victims`` (indices) at ``abort_at``."""
-    sim, topo, net, disk = _build(mode, case["capacity"],
-                                  case["disk_capacity"])
+    sim, topo, net, disk = _build(case["capacity"], case["disk_capacity"])
     flows = _start_background(sim, net, case["background"], case["at"])
     src, dst = case["pair"]
     flows += net.start_flows(
@@ -127,9 +117,9 @@ def _run_aborts(mode, batched, case, victims, abort_at):
             aborted)
 
 
-def _assert_starts_match(mode, case):
-    one_by_one = _run_starts(mode, False, case)
-    batched = _run_starts(mode, True, case)
+def _assert_starts_match(case):
+    one_by_one = _run_starts(False, case)
+    batched = _run_starts(True, case)
     assert batched[0] == one_by_one[0]
     assert batched[1] == one_by_one[1]
     # Each one-by-one start but the last left a superseded wakeup
@@ -138,9 +128,9 @@ def _assert_starts_match(mode, case):
     assert batched[2] == one_by_one[2] - stale
 
 
-def _assert_aborts_match(mode, case, victims, abort_at):
-    one_by_one = _run_aborts(mode, False, case, victims, abort_at)
-    batched = _run_aborts(mode, True, case, victims, abort_at)
+def _assert_aborts_match(case, victims, abort_at):
+    one_by_one = _run_aborts(False, case, victims, abort_at)
+    batched = _run_aborts(True, case, victims, abort_at)
     assert batched[0] == one_by_one[0]
     assert batched[1] == one_by_one[1]
     aborted = batched[3]
@@ -161,33 +151,30 @@ def _case(**overrides):
 # -- named cases ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_zero_byte_batch_completes_at_once(mode):
-    sim, topo, net, disk = _build(mode)
+def test_zero_byte_batch_completes_at_once():
+    sim, topo, net, disk = _build()
     sim.run(until=3.0)
     flows = net.start_flows("a", "b", 0.0, 5)
     assert [flow.completed_at for flow in flows] == [3.0] * 5
     assert net.completed == flows
     assert net.active_flows == []
     assert all(flow.done.triggered for flow in flows)
-    _assert_starts_match(mode, _case(nbytes=0.0, count=5))
+    _assert_starts_match(_case(nbytes=0.0, count=5))
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("count", [0, -1])
-def test_count_below_one_is_rejected(mode, count):
-    _, _, net, _ = _build(mode)
+def test_count_below_one_is_rejected(count):
+    _, _, net, _ = _build()
     with pytest.raises(ValueError):
         net.start_flows("a", "b", 1000.0, count)
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("bad_call", [
     ("a", "b", -1.0),
     ("a", "island", 1000.0),
 ], ids=["negative_size", "unroutable"])
-def test_rejected_batch_consumes_no_flow_id(mode, bad_call):
-    _, _, net, _ = _build(mode)
+def test_rejected_batch_consumes_no_flow_id(bad_call):
+    _, _, net, _ = _build()
     before = net.start_flow("a", "b", 1000.0).id
     with pytest.raises((ValueError, NoRouteError)):
         net.start_flows(*bad_call, 3)
@@ -195,24 +182,21 @@ def test_rejected_batch_consumes_no_flow_id(mode, bad_call):
     assert len(net.active_flows) == 2
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_batch_joins_a_busy_component(mode):
+def test_batch_joins_a_busy_component():
     background = [("a", "c", 5e4, math.inf), ("c", "b", 2e4, 30.0),
                   ("d", "b", 8e3, math.inf)]
     case = _case(background=background, at=7.5, count=6, cap=25.0,
                  disk=True)
-    _assert_starts_match(mode, case)
-    _assert_aborts_match(mode, case, victims=[3, 5, 4, 0], abort_at=2.0)
+    _assert_starts_match(case)
+    _assert_aborts_match(case, victims=[3, 5, 4, 0], abort_at=2.0)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_single_flow_batch_is_start_flow(mode):
-    _assert_starts_match(mode, _case(count=1))
+def test_single_flow_batch_is_start_flow():
+    _assert_starts_match(_case(count=1))
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_abort_skips_inactive_and_repeated_flows(mode):
-    sim, _, net, _ = _build(mode)
+def test_abort_skips_inactive_and_repeated_flows():
+    sim, _, net, _ = _build()
     short, long_ = net.start_flow("a", "b", 10.0), net.start_flow(
         "a", "b", 1e6)
     sim.run(until=5.0)
@@ -229,9 +213,8 @@ def test_abort_skips_inactive_and_repeated_flows(mode):
     sim.run()
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_abort_flow_delegates_to_the_batch(mode):
-    _assert_aborts_match(mode, _case(count=3), victims=[1], abort_at=1.0)
+def test_abort_flow_delegates_to_the_batch():
+    _assert_aborts_match(_case(count=3), victims=[1], abort_at=1.0)
 
 
 # -- hypothesis battery --------------------------------------------------
@@ -260,27 +243,25 @@ _cases = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("mode", MODES)
 @given(case=_cases)
 @settings(max_examples=60, deadline=None)
-def test_start_flows_matches_back_to_back_starts(mode, case):
-    _assert_starts_match(mode, case)
+def test_start_flows_matches_back_to_back_starts(case):
+    _assert_starts_match(case)
 
 
-@pytest.mark.parametrize("mode", MODES)
 @given(
     case=_cases.filter(lambda case: case["nbytes"] > 0),
     victims=st.lists(st.integers(0, 20), max_size=8),
     abort_at=st.floats(0.0, 100.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_abort_flows_matches_sequential_aborts(mode, case, victims,
+def test_abort_flows_matches_sequential_aborts(case, victims,
                                                abort_at):
-    _assert_aborts_match(mode, case, victims, abort_at)
+    _assert_aborts_match(case, victims, abort_at)
 
 
 def test_flow_ids_are_consecutive_within_a_batch():
-    _, _, net, _ = _build("incremental")
+    _, _, net, _ = _build()
     flows = net.start_flows("a", "b", 1000.0, 4)
     assert [flow.id for flow in flows] == list(
         range(flows[0].id, flows[0].id + 4)

@@ -1,9 +1,12 @@
 """Tests for the simulator core: clock, queue, run modes."""
 
+import math
+
 import pytest
 
 from repro.sim import Simulator, SimulationError
 from repro.sim.errors import EmptySchedule
+from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
 
 
 def test_clock_starts_at_initial_time():
@@ -45,6 +48,40 @@ def test_ties_processed_in_fifo_order():
         sim.process(waiter(tag))
     sim.run()
     assert seen == ["a", "b", "c"]
+
+
+def test_urgent_before_normal_at_same_time():
+    sim = Simulator()
+    seen = []
+    for tag, priority in (("normal", PRIORITY_NORMAL),
+                          ("urgent", PRIORITY_URGENT)):
+        event = sim.event()
+        event._ok = True
+        event._value = tag
+        event.callbacks.append(lambda ev: seen.append(ev.value))
+        sim.schedule(event, delay=1.0, priority=priority)
+    sim.run()
+    assert seen == ["urgent", "normal"]
+
+
+def test_infinite_timeout_pops_last_and_holds_nothing_open():
+    """An inf-horizon timer is legal, pops after every finite event,
+    and neither ``run(until=...)`` nor ``peek()`` waits on it."""
+    sim = Simulator()
+    seen = []
+    horizon = sim.timeout(math.inf, "horizon")
+    near = sim.timeout(3.0, "near")
+    for event in (horizon, near):
+        event.callbacks.append(lambda ev: seen.append(ev.value))
+    assert sim.peek() == 3.0
+    sim.run(until=10.0)
+    assert seen == ["near"]
+    assert sim.now == 10.0
+    assert sim.peek() == math.inf
+    assert sim.queue_depth == 1
+    sim.step()
+    assert seen == ["near", "horizon"]
+    assert sim.queue_depth == 0
 
 
 def test_run_until_time_advances_clock_exactly():
